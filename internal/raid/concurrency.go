@@ -10,7 +10,7 @@ package raid
 //     physical device call, tallied through Instrumented.ReadAtN/WriteAtN as
 //     the element operations it replaces;
 //   - the sync.Pool-backed per-operation scratch (stripe buffer, mark
-//     bitmaps, coordinate lists, RMW buffers) that makes the steady-state
+//     bitmaps, coordinate lists, RMW delta buffer) that makes the steady-state
 //     data path allocation-free.
 
 import (
@@ -290,7 +290,7 @@ func (a *Array) writeColumn(si int64, col int, s *stripe.Stripe, parent trace.Li
 // opScratch is the pooled per-stripe-task scratch: one stripe buffer used as
 // the element arena, mark bitmaps (consumers clear the ones they use before
 // use — pooled state is stale by design), coordinate and run lists, an XOR
-// gather list, and two element-sized RMW buffers. One opScratch serves one
+// gather list, and an element-sized RMW delta buffer. One opScratch serves one
 // stripe task at a time; the per-column goroutines under it only touch
 // disjoint cells of sc.s and the shared run list built before the fan-out.
 type opScratch struct {
@@ -307,7 +307,7 @@ type opScratch struct {
 	vruns   []vecRun    // direct-path coalesced device runs
 	vecbufs [][]byte    // direct-path iovec assembly (cleared after use)
 	data    [][]byte    // direct-path user-buffer views by data index (cleared after use)
-	b1, b2  []byte      // element-sized RMW scratch (new value, delta)
+	delta   []byte      // element-sized RMW delta scratch
 	tc      trace.Ctx   // the stripe task's span; set at every task start (pooled state is stale)
 
 	// Async-scheduler staging (see async.go): completion handles, device
@@ -330,8 +330,7 @@ func (a *Array) getScratch() *opScratch {
 		part:  make([]bool, cells),
 		gseen: make([]bool, len(a.code.Groups())),
 		data:  make([][]byte, a.code.DataElems()),
-		b1:    make([]byte, a.elemSize),
-		b2:    make([]byte, a.elemSize),
+		delta: make([]byte, a.elemSize),
 	}
 }
 

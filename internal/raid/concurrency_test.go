@@ -269,8 +269,8 @@ func TestOpsRacingFailDisk(t *testing.T) {
 }
 
 // TestSteadyStateAllocs pins the allocation-free steady state of the pooled
-// serial data path: aligned reads and full-stripe writes must not allocate
-// once the pools are warm.
+// serial data path: aligned reads, full-stripe writes and unaligned
+// multi-element read-modify-writes must not allocate once the pools are warm.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless under -race")
@@ -282,13 +282,19 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, a.Size())
+	// Five elements inside stripe 1, partial at both ends: the RMW path.
+	rmwOff := int64(a.code.DataElems()+3)*elemSize + 100
+	rmw := pattern(4*elemSize, 5)
 
-	// Warm every pool on both paths before measuring.
+	// Warm every pool on all three paths before measuring.
 	for i := 0; i < 3; i++ {
 		if _, err := a.WriteAt(data, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := a.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.WriteAt(rmw, rmwOff); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,6 +311,17 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}); avg >= 1 {
 		t.Errorf("full-stripe WriteAt allocates %.1f/op in steady state, want 0", avg)
+	}
+	rmw0 := a.Stats().RMWWrites
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := a.WriteAt(rmw, rmwOff); err != nil {
+			t.Fatal(err)
+		}
+	}); avg >= 1 {
+		t.Errorf("unaligned RMW WriteAt allocates %.1f/op in steady state, want 0", avg)
+	}
+	if got := a.Stats().RMWWrites - rmw0; got != 51*5 {
+		t.Errorf("RMW element updates = %d over 51 writes, want %d: the write left the RMW path", got, 51*5)
 	}
 }
 

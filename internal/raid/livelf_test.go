@@ -14,11 +14,15 @@ import (
 // live load-balance factor within 5% of internal/ioload's analytic count for
 // the same trace.
 //
-// The trace is shaped so the two accountings are element-for-element
-// identical: write lengths are clamped to one element, which forces the
-// array onto the read-modify-write path (2 accesses on the data disk plus 2
-// per touched parity disk — exactly the simulator's Eq. 8 bookkeeping), and
-// the element cache stays off so every logical access reaches a device.
+// The two accountings are element-for-element identical for writes of any
+// length: the stripe-granular read-modify-write reads and writes each
+// written data element once and each distinct parity it touches once (2w +
+// 2P accesses per stripe — exactly the simulator's Eq. 8 bookkeeping). That
+// holds only while every write takes the RMW path, which the test checks
+// rather than assumes, and the element cache stays off so every logical
+// access reaches a device. hdp is left out: the cost model picks
+// reconstruct-write for 26 of its stripe writes in this trace, and that
+// strategy reads untouched data and no parity, which Eq. 8 does not model.
 func TestLiveLFMatchesSimulator(t *testing.T) {
 	const (
 		stripes = 4
@@ -31,6 +35,7 @@ func TestLiveLFMatchesSimulator(t *testing.T) {
 		{"dcode", 7},
 		{"rdp", 7},
 		{"xcode", 7},
+		{"hcode", 7},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			code := codes.MustNew(tc.id, tc.p)
@@ -46,9 +51,6 @@ func TestLiveLFMatchesSimulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range ops {
-				if ops[i].Kind == workload.Write {
-					ops[i].L = 1 // single-element RMW matches the simulator exactly
-				}
 				if ops[i].S+ops[i].L > total { // Generate lets L spill past the end
 					ops[i].L = total - ops[i].S
 				}
@@ -75,6 +77,10 @@ func TestLiveLFMatchesSimulator(t *testing.T) {
 						t.Fatalf("%v S=%d L=%d: %v", op.Kind, op.S, op.L, err)
 					}
 				}
+			}
+
+			if n := a.Stats().FullStripeWrites; n != 0 {
+				t.Fatalf("%d writes took reconstruct-write; the exact match needs RMW only", n)
 			}
 
 			live := a.LoadWindow().Snapshot()

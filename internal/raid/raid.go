@@ -844,17 +844,20 @@ func (a *Array) writeStripeRunLocked(r stripeRun, ranges []elemRange, p []byte, 
 }
 
 // writeStripeRanges applies one stripe's element ranges. On a healthy array
-// it picks the cheaper of the two classic strategies by element I/O count:
+// it picks the cheaper of the two classic strategies by element I/O count —
+// the counts each strategy then performs exactly:
 //
-//   - read-modify-write: read old data + old parities, write new data +
-//     patched parities — 2w + 2P accesses for w written elements touching P
-//     distinct parities (the model of the paper's Fig. 5);
+//   - read-modify-write (rmwStripe): read the w written data elements and
+//     the P distinct parities they touch, write them back patched — 2w + 2P
+//     accesses (the model of the paper's Fig. 5);
 //   - reconstruct-write: read the untouched data, re-encode, write the new
 //     data + every parity — (D−w) + partials reads and w + G writes.
 //
 // A degraded array (including failures discovered mid-write) takes the
-// load-reconstruct-encode-store path. Elements already committed by RMW stay
-// consistent, so falling back mid-stripe is safe.
+// load-reconstruct-encode-store path. Both strategies read everything before
+// writing anything, so a failure discovered while reading retries with no
+// cell of the stripe committed; a failure during the commit is absorbed and
+// the stripe stays reconstructable.
 func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScratch) error {
 	// An aligned full-stripe write on a healthy cache-less array gathers
 	// straight from p, encoding parity from the user's views (EncodeFrom) —
@@ -906,15 +909,9 @@ func (a *Array) writeStripeRanges(si int64, ers []elemRange, p []byte, sc *opScr
 				return nil
 			}
 		} else {
-			ok := true
-			for _, er := range ers {
-				if err = a.rmwElement(si, er, p, sc); err != nil {
-					ok = false
-					break
-				}
-				a.m.rmwWrites.Inc()
-			}
-			if ok {
+			err = a.rmwStripe(si, ers, p, sc)
+			if err == nil {
+				a.m.rmwWrites.Add(int64(len(ers)))
 				return nil
 			}
 		}
@@ -999,23 +996,25 @@ func (a *Array) reconstructWrite(si int64, ers []elemRange, p []byte, sc *opScra
 	return nil
 }
 
-// rmwElement performs a read-modify-write of one (possibly partial) data
-// element in two phases. Phase one gathers the old data and every old parity
-// (coalesced where adjacent) without mutating anything, so a read failure
-// (which marks the disk) is safe to retry on the degraded path. Phase two
-// commits the new data and the patched parities; a disk that fails during
-// commit is skipped — its contents are moot and the delta applied to the
-// surviving parities keeps the new value reconstructable.
-func (a *Array) rmwElement(stripeIdx int64, er elemRange, p []byte, sc *opScratch) error {
-	// Phase 1: gather old data + old parities into sc.s.
-	groups := a.code.UpdateGroups(er.coord.Row, er.coord.Col)
-	fetch := sc.fetch[:0]
-	fetch = append(fetch, er.coord)
-	for _, gi := range groups {
-		fetch = append(fetch, a.code.Groups()[gi].Parity)
+// rmwStripe performs the read-modify-write of one stripe's element ranges
+// in three phases, so every cell it touches is read once and written once.
+// The gather reads the written data cells (sc.coords) and the parity of every
+// touched group (sc.gseen), both from writeStripeRanges, in one coalesced
+// readCells; it mutates nothing, so a read failure (which marks the disk) is
+// safe to retry on the degraded path. The patch folds each range's delta into
+// its parities in stripe memory — a parity shared by several written elements
+// takes all their deltas before its single write. The commit writes the same
+// cell set back; a disk that fails during it is skipped — its contents are
+// moot and the surviving parities keep the new values reconstructable.
+func (a *Array) rmwStripe(si int64, ers []elemRange, p []byte, sc *opScratch) error {
+	cells := append(sc.fetch[:0], sc.coords...)
+	for gi, touched := range sc.gseen {
+		if touched {
+			cells = append(cells, a.code.Groups()[gi].Parity)
+		}
 	}
-	sc.fetch = fetch
-	hits, err := a.readCells(stripeIdx, fetch, sc.s, sc)
+	sc.fetch = cells
+	hits, err := a.readCells(si, cells, sc.s, sc)
 	if err != nil {
 		return err
 	}
@@ -1024,22 +1023,27 @@ func (a *Array) rmwElement(stripeIdx int64, er elemRange, p []byte, sc *opScratc
 	if hits > 0 {
 		a.m.rmwPreReadsAbsorbed.Add(int64(hits))
 	}
-
-	// Phase 2: commit.
-	old := sc.s.Elem(er.coord.Row, er.coord.Col)
-	newVal := sc.b1
-	copy(newVal, old)
-	copy(newVal[er.start:er.start+er.length], p[er.bufOff:er.bufOff+er.length])
-	delta := sc.b2
-	stripe.XORInto(delta, old, newVal)
-	_ = a.writeElemTraced(stripeIdx, er.coord, newVal, sc.tc.Link())
-	a.cachePut(stripeIdx, er.coord, newVal)
-	for _, gi := range groups {
-		pc := a.code.Groups()[gi].Parity
-		pe := sc.s.Elem(pc.Row, pc.Col)
-		stripe.XOR(pe, delta)
-		_ = a.writeElemTraced(stripeIdx, pc, pe, sc.tc.Link())
-		a.cachePut(stripeIdx, pc, pe)
+	// The delta is zero outside a range's bytes, so only that span of each
+	// parity changes. Ranges apply in order, which keeps two ranges of one
+	// element (a batched flush) correct.
+	for _, er := range ers {
+		src := p[er.bufOff : er.bufOff+er.length]
+		cell := sc.s.Elem(er.coord.Row, er.coord.Col)[er.start : er.start+er.length]
+		delta := sc.delta[:er.length]
+		stripe.XORInto(delta, cell, src)
+		for _, gi := range a.code.UpdateGroups(er.coord.Row, er.coord.Col) {
+			pc := a.code.Groups()[gi].Parity
+			stripe.XOR(sc.s.Elem(pc.Row, pc.Col)[er.start:er.start+er.length], delta)
+		}
+		copy(cell, src)
+	}
+	a.writeCellsBestEffort(si, cells, sc.s, sc)
+	// Write-through, as in reconstructWrite: the committed cells' new values
+	// stay the logical content even if a device failed mid-commit.
+	if a.cache != nil {
+		for _, co := range cells {
+			a.cachePut(si, co, sc.s.Elem(co.Row, co.Col))
+		}
 	}
 	if a.failedCount() > 2 {
 		return ErrTooManyFailures
